@@ -18,8 +18,8 @@ Quickstart::
     for extraction in result.extractions:
         print(extraction.render())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See "Paper mapping" in the README for the system inventory and
+"Tests" there for the benchmarks that reproduce every table and figure.
 """
 
 import importlib.metadata as _importlib_metadata

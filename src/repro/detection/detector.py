@@ -25,9 +25,13 @@ from repro.detection.threshold import (
 )
 from repro.detection.voting import vote
 from repro.errors import CheckpointError, ConfigError, SketchError
-from repro.flows.table import FlowTable, pack_array, unpack_array
+from repro.flows.table import FlowTable, pack_array
 from repro.sketch.cloning import CloneSet
-from repro.sketch.histogram import HistogramSnapshot
+from repro.sketch.histogram import (
+    HistogramSnapshot,
+    check_state,
+    decode_state,
+)
 
 
 def clone_seed(seed: int, feature: Feature) -> int:
@@ -117,6 +121,19 @@ class FeatureObservation:
         return sum(1 for clone in self.clones if clone.alarm)
 
 
+@dataclass(frozen=True, slots=True)
+class _DetectorState:
+    """A validated detector checkpoint, ready to install."""
+
+    interval: int
+    prev: list[HistogramSnapshot | None]
+    prev_kl: list[float]
+    kl_series: list[list[float]]
+    diff_series: list[list[float]]
+    training_diffs: list[list[float]]
+    thresholds: list[AlarmThreshold | None]
+
+
 class HistogramDetector:
     """Stateful per-feature detector; call :meth:`observe` per interval."""
 
@@ -202,11 +219,18 @@ class HistogramDetector:
     def from_state(self, state: dict) -> None:
         """Restore :meth:`to_state` data into this detector (which must
         be built with the same config, feature, and seed - the hash
-        streams are rebuilt, not restored)."""
+        streams are rebuilt, not restored).  A refused state leaves the
+        detector untouched."""
+        self.apply_state(self.parse_state(state))
+
+    def parse_state(self, state: dict) -> _DetectorState:
+        """Validate :meth:`to_state` data without touching the detector;
+        raises :class:`CheckpointError` on anything a detector could
+        not have written."""
         cfg = self.config
         try:
             per_clone = {
-                key: state[key]
+                key: list(state[key])
                 for key in (
                     "prev", "prev_kl", "kl_series", "diff_series",
                     "training_diffs", "thresholds",
@@ -231,24 +255,19 @@ class HistogramDetector:
                 prev.append(None)
                 continue
             try:
-                prev.append(
-                    HistogramSnapshot(
-                        hash_fn=self._clones[c].hash_fn,
-                        counts=np.asarray(
-                            unpack_array(snap["counts"]),
-                            dtype=np.float64,
-                        ),
-                        observed=np.asarray(
-                            unpack_array(snap["observed"]),
-                            dtype=np.uint64,
-                        ),
-                    )
+                counts, observed = decode_state(
+                    snap["counts"], snap["observed"], cfg.bins
                 )
-            except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
                     f"malformed clone {c} snapshot in detector "
                     f"checkpoint: {exc}"
                 ) from exc
+            prev.append(HistogramSnapshot(
+                hash_fn=self._clones[c].hash_fn,
+                counts=counts,
+                observed=observed,
+            ))
         thresholds: list[AlarmThreshold | None] = []
         for thr in per_clone["thresholds"]:
             if thr is None:
@@ -265,21 +284,35 @@ class HistogramDetector:
                 raise CheckpointError(
                     f"malformed threshold in detector checkpoint: {exc}"
                 ) from exc
-        self._interval = interval
-        self._prev = prev
-        self._prev_kl = [float(kl) for kl in per_clone["prev_kl"]]
-        self._kl_series = [
-            [float(v) for v in series] for series in per_clone["kl_series"]
-        ]
-        self._diff_series = [
-            [float(v) for v in series]
-            for series in per_clone["diff_series"]
-        ]
-        self._training_diffs = [
-            [float(v) for v in series]
-            for series in per_clone["training_diffs"]
-        ]
-        self._thresholds = thresholds
+        try:
+            series = {
+                key: [[float(v) for v in clone] for clone in per_clone[key]]
+                for key in ("kl_series", "diff_series", "training_diffs")
+            }
+            prev_kl = [float(kl) for kl in per_clone["prev_kl"]]
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"malformed KL series in detector checkpoint: {exc}"
+            ) from exc
+        return _DetectorState(
+            interval=interval,
+            prev=prev,
+            prev_kl=prev_kl,
+            kl_series=series["kl_series"],
+            diff_series=series["diff_series"],
+            training_diffs=series["training_diffs"],
+            thresholds=thresholds,
+        )
+
+    def apply_state(self, state: _DetectorState) -> None:
+        """Install a state returned by :meth:`parse_state`."""
+        self._interval = state.interval
+        self._prev = state.prev
+        self._prev_kl = state.prev_kl
+        self._kl_series = state.kl_series
+        self._diff_series = state.diff_series
+        self._training_diffs = state.training_diffs
+        self._thresholds = state.thresholds
 
     # ------------------------------------------------------------------
     def observe(self, flows: FlowTable) -> FeatureObservation:
@@ -287,19 +320,29 @@ class HistogramDetector:
         values = self.feature.extract(flows)
         self._clones.reset()
         self._clones.update(values)
-        return self.observe_snapshots(self._clones.snapshots())
+        return self._advance(self._clones.snapshots())
 
     def observe_snapshots(
         self, snapshots: list[HistogramSnapshot]
     ) -> FeatureObservation:
         """Process one interval given per-clone histogram snapshots.
 
-        This is the sketch-backed entry point: :meth:`observe` calls it
-        with snapshots taken locally, and the federation layer calls it
-        with snapshots *merged* from remote collectors.  The snapshots
-        must use this detector's own clone hash functions (same order),
-        otherwise the KL reference series would mix incompatible
-        binnings - hence the refusal.
+        This is the sketch-backed entry point: the federation layer
+        calls it with snapshots *merged* from remote collectors.  The
+        snapshots are checked (:meth:`check_snapshots`) before any
+        state moves, so a refused interval leaves the detector as it
+        was.
+        """
+        self.check_snapshots(snapshots)
+        return self._advance(snapshots)
+
+    def check_snapshots(self, snapshots: list[HistogramSnapshot]) -> None:
+        """Refuse snapshots this detector cannot consume.
+
+        They must use this detector's own clone hash functions (same
+        order), otherwise the KL reference series would mix
+        incompatible binnings, and hold a state a histogram can reach
+        (see :func:`~repro.sketch.histogram.check_state`).
         """
         cfg = self.config
         if len(snapshots) != cfg.clones:
@@ -316,6 +359,19 @@ class HistogramDetector:
                     f"than this detector's clone (check seed/clones/"
                     f"bins compatibility)"
                 )
+            try:
+                check_state(snapshot.counts, snapshot.observed)
+            except ValueError as exc:
+                raise SketchError(
+                    f"feature {self.feature.short_name}: clone {c} "
+                    f"snapshot refused: {exc}"
+                ) from exc
+
+    def _advance(
+        self, snapshots: list[HistogramSnapshot]
+    ) -> FeatureObservation:
+        """Score one interval of checked snapshots (the state moves)."""
+        cfg = self.config
         self._interval += 1
 
         clone_results: list[CloneObservation] = []

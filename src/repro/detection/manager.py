@@ -201,8 +201,18 @@ class DetectorBank:
                 f"but this bank monitors {expected}; restore with the "
                 f"configuration the checkpoint was written under"
             )
+        try:
+            parsed = {
+                feature: detector.parse_state(detectors[feature.short_name])
+                for feature, detector in self._detectors.items()
+            }
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(
+                f"malformed detector-bank checkpoint state: {exc}"
+            ) from exc
+        # Every detector parsed: only now does any state move.
         for feature, detector in self._detectors.items():
-            detector.from_state(detectors[feature.short_name])
+            detector.apply_state(parsed[feature])
 
     def observe(self, flows: FlowTable) -> IntervalReport:
         """Feed one interval to every detector."""
@@ -235,6 +245,10 @@ class DetectorBank:
                 f"interval snapshots missing monitored features: "
                 f"{', '.join(missing)}"
             )
+        # Check every feature before any detector advances, so a
+        # refused interval leaves the whole bank as it was.
+        for feature, detector in self._detectors.items():
+            detector.check_snapshots(snapshots[feature])
         observations = {
             feature: detector.observe_snapshots(snapshots[feature])
             for feature, detector in self._detectors.items()

@@ -14,9 +14,13 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigError, SketchError
-from repro.flows.table import unpack_array
 from repro.sketch.hashing import HashFamily
-from repro.sketch.histogram import HashedHistogram, HistogramSnapshot
+from repro.sketch.histogram import (
+    HashedHistogram,
+    HistogramSnapshot,
+    decode_state,
+    distinct_counts,
+)
 
 
 class CloneSet:
@@ -53,9 +57,15 @@ class CloneSet:
             histogram.reset()
 
     def update(self, values: np.ndarray) -> None:
-        """Feed one interval's feature column to every clone."""
+        """Feed one interval's feature column to every clone.
+
+        The column is reduced to its distinct values once; each clone
+        then hashes only those, so per-clone work follows the number of
+        distinct values rather than the number of flows.
+        """
+        distinct, counts = distinct_counts(values)
         for histogram in self._histograms:
-            histogram.update(values)
+            histogram.add_distinct(distinct, counts)
 
     def snapshots(self) -> list[HistogramSnapshot]:
         """Freeze every clone's interval state."""
@@ -109,11 +119,8 @@ class CloneSet:
             )
         for histogram, state in zip(clone_set, states, strict=True):
             try:
-                counts = np.asarray(
-                    unpack_array(state["counts"]), dtype=np.float64
-                )
-                observed = np.asarray(
-                    unpack_array(state["observed"]), dtype=np.uint64
+                counts, observed = decode_state(
+                    state["counts"], state["observed"], clone_set.bins
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise SketchError(

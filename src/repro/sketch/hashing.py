@@ -58,29 +58,44 @@ class UniversalHash:
             a*x = aH*xH*2^62 + (aH*xL + aL*xH)*2^31 + aL*xL
 
         where ``2^62 === 2 (mod p)`` and the middle term's shift by 31 is
-        folded with the same identity.  Every intermediate stays below
-        2^63, so plain uint64 arithmetic is exact; the scalar path
-        (``__call__``) uses arbitrary-precision Python ints and the test
-        suite asserts both agree.
+        folded with the same identity.  Reductions mod ``p`` are folds
+        (``t === (t & p) + (t >> 61)``), not divisions: intermediates
+        stay congruent, below 2^64, and only the sum is brought into
+        ``[0, p)``.  The scalar path (``__call__``) uses
+        arbitrary-precision Python ints and the test suite asserts both
+        agree.
         """
-        p = np.uint64(MERSENNE_PRIME)
-        x = np.asarray(values, dtype=np.uint64) % p
-        a_hi = np.uint64(self.a >> 31)          # < 2^30
-        a_lo = np.uint64(self.a & ((1 << 31) - 1))  # < 2^31
-        x_hi = x >> np.uint64(31)               # < 2^30
-        x_lo = x & np.uint64((1 << 31) - 1)     # < 2^31
-        # High term: aH*xH*2^62 === 2*aH*xH (mod p); aH*xH < 2^60.
-        t1 = (np.uint64(2) * (a_hi * x_hi)) % p
-        # Middle term: (aH*xL + aL*xH) < 2^62, reduce then shift by 31
-        # via y*2^31 === (y mod 2^30)*2^31 + (y >> 30) (mod p).
-        t2 = (a_hi * x_lo + a_lo * x_hi) % p
-        t2 = ((t2 & np.uint64((1 << 30) - 1)) << np.uint64(31)) + (
-            t2 >> np.uint64(30)
+        x = _fold(np.asarray(values, dtype=np.uint64))  # < 2^61 + 8
+        a_hi = np.uint64(self.a >> 31)                  # < 2^30
+        a_lo = np.uint64(self.a & ((1 << 31) - 1))      # < 2^31
+        x_hi = x >> np.uint64(31)                       # <= 2^30
+        x_lo = x & np.uint64((1 << 31) - 1)             # < 2^31
+        # High term: aH*xH*2^62 === 2*aH*xH (mod p), below 2^61.
+        t1 = x_hi * np.uint64(2 * (self.a >> 31))
+        # Middle term: y = aH*xL + aL*xH < 2^62, and y*2^31 ===
+        # (y mod 2^30)*2^31 + (y >> 30) (mod p), below 2^61 + 2^32.
+        y = a_hi * x_lo + a_lo * x_hi
+        t2 = ((y & np.uint64((1 << 30) - 1)) << np.uint64(31)) + (
+            y >> np.uint64(30)
         )
-        # Low term: aL*xL < 2^62, one reduction suffices.
-        t3 = (a_lo * x_lo) % p
-        hashed = (t1 + (t2 % p) + t3 + np.uint64(self.b)) % p
-        return (hashed % np.uint64(self.bins)).astype(np.int64)
+        # Low term: aL*xL < 2^62, folded below 2^61 + 2.
+        t3 = _fold(a_lo * x_lo)
+        # Sum < 2^63 + 2^33: fold, then one conditional subtraction.
+        hashed = _fold(t1 + t2 + t3 + np.uint64(self.b))
+        hashed -= _P * (hashed >= _P)
+        if self.bins & (self.bins - 1) == 0:
+            hashed &= np.uint64(self.bins - 1)
+        else:
+            hashed %= np.uint64(self.bins)
+        return hashed.astype(np.int64)
+
+
+_P = np.uint64(MERSENNE_PRIME)
+
+
+def _fold(t: np.ndarray) -> np.ndarray:
+    """``t`` reduced to a congruent value below ``2^61 + 8`` (mod p)."""
+    return (t & _P) + (t >> np.uint64(61))
 
 
 class HashFamily:

@@ -18,22 +18,82 @@ from repro.flows.table import pack_array, unpack_array
 from repro.sketch.hashing import UniversalHash
 
 
+def distinct_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A feature column reduced to its sorted distinct values and the
+    number of flows carrying each one.
+
+    This is the unit of per-clone work: a clone set computes it once per
+    column and every clone hashes the distinct values only.
+    """
+    return np.unique(np.asarray(values, dtype=np.uint64), return_counts=True)
+
+
+def decode_state(
+    counts_doc: object, observed_doc: object, bins: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode and validate one clone's packed ``(counts, observed)``.
+
+    Every decoder of histogram state (snapshot and clone-set documents,
+    detector checkpoints) goes through here, so a hostile document is
+    refused before any state is built from it: ``bins`` counts and an
+    array of non-negative integer values that pass :func:`check_state`.
+    Raises ``ValueError`` with the reason; each caller wraps it in its
+    own error type.
+    """
+    counts = unpack_array(counts_doc)
+    observed = unpack_array(observed_doc)
+    if counts.ndim != 1 or observed.ndim != 1:
+        raise ValueError("histogram state arrays must be one-dimensional")
+    if counts.dtype.kind not in "uif":
+        raise ValueError(f"counts must be numeric, got {counts.dtype}")
+    counts = counts.astype(np.float64)
+    if len(counts) != bins:
+        raise ValueError(
+            f"histogram state has {len(counts)} counts, expected {bins} bins"
+        )
+    if observed.size and (
+        observed.dtype.kind not in "ui" or observed.min() < 0
+    ):
+        raise ValueError("observed values must be non-negative integers")
+    observed = observed.astype(np.uint64)
+    check_state(counts, observed)
+    return counts, observed
+
+
+def check_state(counts: np.ndarray, observed: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``(counts, observed)`` is a state a
+    histogram can reach: finite, non-negative, integral counts and
+    strictly increasing observed values."""
+    if not np.isfinite(counts).all():
+        raise ValueError("histogram counts must be finite")
+    if counts.min(initial=0.0) < 0:
+        raise ValueError("histogram counts must be non-negative")
+    if not (counts == np.floor(counts)).all():
+        raise ValueError("histogram counts must be integral")
+    if not (observed[1:] > observed[:-1]).all():
+        raise ValueError(
+            "observed values must be sorted and free of duplicates"
+        )
+
+
 class HashedHistogram:
     """Histogram over ``m`` bins with a value->bin map for the current
     interval.
 
     The paper's clone keeps "a map of bins and corresponding feature
-    values"; we store the observed distinct values and compute their bins
-    on demand (the hash is deterministic), which is equivalent and
-    smaller.
+    values"; we store the observed distinct values with the bin of each,
+    aligned, so the back-map never re-hashes.  The bins are derived
+    state: they are not serialized, and a restored histogram recomputes
+    them on first use.
     """
 
-    __slots__ = ("_hash", "_counts", "_observed")
+    __slots__ = ("_hash", "_counts", "_observed", "_value_bins")
 
     def __init__(self, hash_fn: UniversalHash):
         self._hash = hash_fn
         self._counts = np.zeros(hash_fn.bins, dtype=np.float64)
         self._observed: np.ndarray = np.empty(0, dtype=np.uint64)
+        self._value_bins: np.ndarray | None = np.empty(0, dtype=np.int64)
 
     @property
     def bins(self) -> int:
@@ -56,15 +116,38 @@ class HashedHistogram:
         """Clear counts and the observed-value set for a new interval."""
         self._counts[:] = 0.0
         self._observed = np.empty(0, dtype=np.uint64)
+        self._value_bins = np.empty(0, dtype=np.int64)
 
     def update(self, values: np.ndarray) -> None:
         """Add one flow per entry of ``values`` (a feature column)."""
-        vals = np.asarray(values, dtype=np.uint64)
-        if vals.size == 0:
+        self.add_distinct(*distinct_counts(values))
+
+    def add_distinct(self, distinct: np.ndarray, counts: np.ndarray) -> None:
+        """Add ``counts[i]`` flows carrying value ``distinct[i]``.
+
+        ``distinct`` must be sorted and duplicate-free, as
+        :func:`distinct_counts` returns it, and is kept by reference
+        (the clones of a set share it).  Only the distinct values
+        are hashed; the counts land with one weighted ``bincount``
+        (exact: counts are integers far below 2^53).
+        """
+        if distinct.size == 0:
             return
-        bins = self._hash.hash_array(vals)
-        np.add.at(self._counts, bins, 1.0)
-        self._observed = np.union1d(self._observed, vals)
+        bins = self._hash.hash_array(distinct)
+        self._counts += np.bincount(bins, weights=counts, minlength=self.bins)
+        if self._observed.size == 0:
+            self._observed, self._value_bins = distinct, bins
+            return
+        merged_bins = np.concatenate((self._bins_of_observed(), bins))
+        self._observed, first = np.unique(
+            np.concatenate((self._observed, distinct)), return_index=True
+        )
+        self._value_bins = merged_bins[first]
+
+    def _bins_of_observed(self) -> np.ndarray:
+        if self._value_bins is None:
+            self._value_bins = self._hash.hash_array(self._observed)
+        return self._value_bins
 
     def observed_values(self) -> np.ndarray:
         """Distinct feature values seen in the current interval."""
@@ -83,9 +166,7 @@ class HashedHistogram:
             raise ConfigError(
                 f"bin index out of range [0, {self.bins}): {wanted}"
             )
-        value_bins = self._hash.hash_array(self._observed)
-        mask = np.isin(value_bins, wanted)
-        return self._observed[mask]
+        return self._observed[np.isin(self._bins_of_observed(), wanted)]
 
     def distribution(self, pseudocount: float = 0.0) -> np.ndarray:
         """Normalized bin distribution, optionally Laplace-smoothed."""
@@ -99,11 +180,13 @@ class HashedHistogram:
         return smoothed / total
 
     def snapshot(self) -> "HistogramSnapshot":
-        """Freeze the current interval state (counts + observed values)."""
+        """Freeze the current interval state (counts + observed values,
+        and the bins already computed for them)."""
         return HistogramSnapshot(
             hash_fn=self._hash,
-            counts=self._counts.copy(),
-            observed=self._observed.copy(),
+            counts=self._counts,
+            observed=self._observed,
+            value_bins=self._value_bins,
         )
 
     def restore(self, counts: np.ndarray, observed: np.ndarray) -> None:
@@ -119,6 +202,7 @@ class HashedHistogram:
             )
         self._counts = counts.copy()
         self._observed = np.asarray(observed, dtype=np.uint64).copy()
+        self._value_bins = None
 
 
 class HistogramSnapshot:
@@ -126,23 +210,35 @@ class HistogramSnapshot:
 
     Snapshots are what the detector stores as the reference (previous
     interval) distribution and what the bin-identification algorithm
-    manipulates.
+    manipulates.  ``value_bins`` - the bin of each observed value, as
+    the histogram computed it - rides along when the snapshot is taken;
+    a decoded or merged snapshot derives it on first use.
     """
 
-    __slots__ = ("hash_fn", "_counts", "_observed")
+    __slots__ = ("hash_fn", "_counts", "_observed", "_value_bins")
 
     def __init__(
-        self, hash_fn: UniversalHash, counts: np.ndarray, observed: np.ndarray
+        self,
+        hash_fn: UniversalHash,
+        counts: np.ndarray,
+        observed: np.ndarray,
+        value_bins: np.ndarray | None = None,
     ):
         if len(counts) != hash_fn.bins:
             raise ConfigError(
                 f"snapshot counts length {len(counts)} != bins {hash_fn.bins}"
             )
+        if value_bins is not None and len(value_bins) != len(observed):
+            raise ConfigError(
+                f"{len(value_bins)} value bins for "
+                f"{len(observed)} observed values"
+            )
         self.hash_fn = hash_fn
-        self._counts = np.asarray(counts, dtype=np.float64).copy()
-        self._counts.setflags(write=False)
-        self._observed = np.asarray(observed, dtype=np.uint64).copy()
-        self._observed.setflags(write=False)
+        self._counts = _frozen(counts, np.float64)
+        self._observed = _frozen(observed, np.uint64)
+        self._value_bins = (
+            None if value_bins is None else _frozen(value_bins, np.int64)
+        )
 
     @property
     def counts(self) -> np.ndarray:
@@ -151,6 +247,15 @@ class HistogramSnapshot:
     @property
     def observed(self) -> np.ndarray:
         return self._observed
+
+    @property
+    def value_bins(self) -> np.ndarray:
+        """Bin of each observed value, aligned with :attr:`observed`."""
+        if self._value_bins is None:
+            self._value_bins = _frozen(
+                self.hash_fn.hash_array(self._observed), np.int64
+            )
+        return self._value_bins
 
     @property
     def bins(self) -> int:
@@ -175,14 +280,14 @@ class HistogramSnapshot:
         wanted = np.asarray(bins, dtype=np.int64)
         if wanted.size == 0 or self._observed.size == 0:
             return np.empty(0, dtype=np.uint64)
-        value_bins = self.hash_fn.hash_array(self._observed)
-        mask = np.isin(value_bins, wanted)
-        return self._observed[mask]
+        return self._observed[np.isin(self.value_bins, wanted)]
 
     def with_counts(self, counts: np.ndarray) -> "HistogramSnapshot":
         """Copy of this snapshot with replaced counts (used by the
         iterative bin-cleaning simulation)."""
-        return HistogramSnapshot(self.hash_fn, counts, self._observed)
+        return HistogramSnapshot(
+            self.hash_fn, counts, self._observed, self._value_bins
+        )
 
     # ------------------------------------------------------------------
     # Federation: merge + canonical wire form
@@ -232,19 +337,18 @@ class HistogramSnapshot:
                 b=int(doc["hash"]["b"]),
                 bins=int(doc["hash"]["bins"]),
             )
-            counts = np.asarray(
-                unpack_array(doc["counts"]), dtype=np.float64
-            )
-            observed = np.asarray(
-                unpack_array(doc["observed"]), dtype=np.uint64
+            counts, observed = decode_state(
+                doc["counts"], doc["observed"], hash_fn.bins
             )
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise SketchError(
                 f"malformed histogram snapshot document: {exc}"
             ) from exc
-        if len(counts) != hash_fn.bins:
-            raise SketchError(
-                f"histogram snapshot has {len(counts)} counts, "
-                f"expected {hash_fn.bins} bins"
-            )
         return cls(hash_fn=hash_fn, counts=counts, observed=observed)
+
+
+def _frozen(array: np.ndarray, dtype: type) -> np.ndarray:
+    """Read-only private copy of ``array`` as ``dtype``."""
+    frozen = np.array(array, dtype=dtype)
+    frozen.setflags(write=False)
+    return frozen

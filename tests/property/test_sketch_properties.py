@@ -204,3 +204,118 @@ def test_clone_set_wire_byte_stable(values, seed, clones):
         assert np.array_equal(mine.counts, theirs.counts)
         assert np.array_equal(mine.observed, theirs.observed)
         assert mine.hash_fn == theirs.hash_fn
+
+
+# ----------------------------------------------------------------------
+# Distinct-value update == per-row reference
+# ----------------------------------------------------------------------
+#: Small values collide often; values >= 2^61 wrap mod the Mersenne
+#: prime inside the hash, so distinct values can share a reduced key.
+wide_values = st.one_of(
+    st.integers(min_value=0, max_value=50),
+    st.integers(min_value=2**61, max_value=2**64 - 1),
+)
+columns = st.one_of(
+    hnp.arrays(
+        dtype=np.uint64,
+        shape=st.integers(min_value=0, max_value=150),
+        elements=wide_values,
+    ),
+    # All-equal column: one distinct value carrying every flow.
+    st.builds(
+        lambda value, n: np.full(n, value, dtype=np.uint64),
+        wide_values,
+        st.integers(min_value=0, max_value=150),
+    ),
+)
+# Intervals of several updates each (an empty list is an empty interval).
+intervals = st.lists(
+    st.lists(columns, min_size=0, max_size=4), min_size=1, max_size=3
+)
+
+
+def per_row_reference(hash_fn, updates):
+    """The per-row update: hash every row, ``np.add.at`` one flow per
+    row, ``np.union1d`` the raw column into the observed set."""
+    counts = np.zeros(hash_fn.bins, dtype=np.float64)
+    observed = np.empty(0, dtype=np.uint64)
+    for column in updates:
+        values = np.asarray(column, dtype=np.uint64)
+        if values.size == 0:
+            continue
+        np.add.at(counts, hash_fn.hash_array(values), 1.0)
+        observed = np.union1d(observed, values)
+    return counts, observed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    intervals=intervals,
+    seed=seeds,
+    clones=st.integers(min_value=1, max_value=3),
+    wanted=st.lists(st.integers(min_value=0, max_value=BINS - 1),
+                    max_size=6),
+)
+def test_clone_set_update_equals_per_row_reference(
+    intervals, seed, clones, wanted
+):
+    clone_set = CloneSet(clones, BINS, seed=seed)
+    for updates in intervals:
+        clone_set.reset()
+        for column in updates:
+            clone_set.update(column)
+        for histogram, snapshot in zip(
+            clone_set, clone_set.snapshots(), strict=True
+        ):
+            counts, observed = per_row_reference(histogram.hash_fn, updates)
+            assert snapshot.counts.tobytes() == counts.tobytes()
+            assert snapshot.observed.dtype == np.uint64
+            assert np.array_equal(snapshot.observed, observed)
+            # The bins kept from the update are the bins of a re-hash.
+            assert np.array_equal(
+                snapshot.value_bins, histogram.hash_fn.hash_array(observed)
+            )
+            expected = observed[
+                np.isin(histogram.hash_fn.hash_array(observed), wanted)
+            ]
+            assert np.array_equal(snapshot.values_in_bins(wanted), expected)
+            assert np.array_equal(histogram.values_in_bins(wanted), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(updates=st.lists(columns, min_size=0, max_size=4), seed=seeds)
+def test_histogram_update_equals_per_row_reference(updates, seed):
+    hash_fn = HashFamily(bins=BINS, seed=seed).take(1)[0]
+    histogram = HashedHistogram(hash_fn)
+    for column in updates:
+        histogram.update(column)
+    counts, observed = per_row_reference(hash_fn, updates)
+    assert histogram.counts.tobytes() == counts.tobytes()
+    assert np.array_equal(histogram.observed_values(), observed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    updates=st.lists(columns, min_size=1, max_size=4),
+    seed=seeds,
+    wanted=st.lists(st.integers(min_value=0, max_value=BINS - 1),
+                    max_size=6),
+)
+def test_restored_state_rederives_value_bins(updates, seed, wanted):
+    """Bins are never serialized: a decoded snapshot or clone set
+    recomputes them and maps bins back to the same values."""
+    clone_set = CloneSet(2, BINS, seed=seed)
+    for column in updates:
+        clone_set.update(column)
+    restored = CloneSet.from_dict(clone_set.to_dict())
+    restored.update(updates[0])
+    clone_set.update(updates[0])
+    for mine, theirs in zip(
+        clone_set.snapshots(), restored.snapshots(), strict=True
+    ):
+        decoded = type(mine).from_dict(mine.to_dict())
+        for other in (theirs, decoded):
+            assert np.array_equal(other.value_bins, mine.value_bins)
+            assert np.array_equal(
+                other.values_in_bins(wanted), mine.values_in_bins(wanted)
+            )
