@@ -11,9 +11,8 @@ numbers an operator's ``--metrics`` export shows.
 
 ``BENCH_pipeline.json`` keeps a trajectory: ``metrics.records`` holds
 one record per labelled run, and a re-run under the same label replaces
-its record.  The label defaults to ``git describe --always --dirty``;
-set ``BENCH_PIPELINE_LABEL`` to name a run, e.g. the before and after
-of a performance change measured on the same machine:
+its record.  ``BENCH_PIPELINE_LABEL`` names the run, e.g. the before
+and after of a performance change measured on the same machine:
 
     BENCH_PIPELINE_LABEL=after PYTHONPATH=src \\
         python -m pytest benchmarks/bench_pipeline.py -q
@@ -24,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import subprocess
 import time
 from pathlib import Path
 
@@ -46,21 +44,6 @@ CLONES = 3
 MIN_SUPPORT = 500
 #: The record keeps the fastest of this many runs (noise robustness).
 REPEATS = 3
-
-
-def _label() -> str:
-    label = os.environ.get("BENCH_PIPELINE_LABEL")
-    if label:
-        return label
-    try:
-        described = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unlabelled"
-    return described.stdout.strip() or "unlabelled"
 
 
 def _run(flows) -> dict:
@@ -127,7 +110,7 @@ def test_pipeline_throughput_and_stage_split(report):
     timed = sum(stage["seconds"] for stage in stages.values())
     assert timed <= wall
     record = {
-        "label": _label(),
+        "label": os.environ.get("BENCH_PIPELINE_LABEL", "unlabelled"),
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

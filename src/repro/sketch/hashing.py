@@ -71,7 +71,7 @@ class UniversalHash:
         x_hi = x >> np.uint64(31)                       # <= 2^30
         x_lo = x & np.uint64((1 << 31) - 1)             # < 2^31
         # High term: aH*xH*2^62 === 2*aH*xH (mod p), below 2^61.
-        t1 = x_hi * np.uint64(2 * (self.a >> 31))
+        t1 = np.uint64(2) * a_hi * x_hi
         # Middle term: y = aH*xL + aL*xH < 2^62, and y*2^31 ===
         # (y mod 2^30)*2^31 + (y >> 30) (mod p), below 2^61 + 2^32.
         y = a_hi * x_lo + a_lo * x_hi
@@ -83,11 +83,7 @@ class UniversalHash:
         # Sum < 2^63 + 2^33: fold, then one conditional subtraction.
         hashed = _fold(t1 + t2 + t3 + np.uint64(self.b))
         hashed -= _P * (hashed >= _P)
-        if self.bins & (self.bins - 1) == 0:
-            hashed &= np.uint64(self.bins - 1)
-        else:
-            hashed %= np.uint64(self.bins)
-        return hashed.astype(np.int64)
+        return (hashed % np.uint64(self.bins)).astype(np.int64)
 
 
 _P = np.uint64(MERSENNE_PRIME)

@@ -83,8 +83,7 @@ class HashedHistogram:
     The paper's clone keeps "a map of bins and corresponding feature
     values"; we store the observed distinct values with the bin of each,
     aligned, so the back-map never re-hashes.  The bins are derived
-    state: they are not serialized, and a restored histogram recomputes
-    them on first use.
+    state: they are not serialized, and :meth:`restore` recomputes them.
     """
 
     __slots__ = ("_hash", "_counts", "_observed", "_value_bins")
@@ -93,7 +92,7 @@ class HashedHistogram:
         self._hash = hash_fn
         self._counts = np.zeros(hash_fn.bins, dtype=np.float64)
         self._observed: np.ndarray = np.empty(0, dtype=np.uint64)
-        self._value_bins: np.ndarray | None = np.empty(0, dtype=np.int64)
+        self._value_bins: np.ndarray = np.empty(0, dtype=np.int64)
 
     @property
     def bins(self) -> int:
@@ -138,16 +137,11 @@ class HashedHistogram:
         if self._observed.size == 0:
             self._observed, self._value_bins = distinct, bins
             return
-        merged_bins = np.concatenate((self._bins_of_observed(), bins))
+        merged_bins = np.concatenate((self._value_bins, bins))
         self._observed, first = np.unique(
             np.concatenate((self._observed, distinct)), return_index=True
         )
         self._value_bins = merged_bins[first]
-
-    def _bins_of_observed(self) -> np.ndarray:
-        if self._value_bins is None:
-            self._value_bins = self._hash.hash_array(self._observed)
-        return self._value_bins
 
     def observed_values(self) -> np.ndarray:
         """Distinct feature values seen in the current interval."""
@@ -166,7 +160,7 @@ class HashedHistogram:
             raise ConfigError(
                 f"bin index out of range [0, {self.bins}): {wanted}"
             )
-        return self._observed[np.isin(self._bins_of_observed(), wanted)]
+        return self._observed[np.isin(self._value_bins, wanted)]
 
     def distribution(self, pseudocount: float = 0.0) -> np.ndarray:
         """Normalized bin distribution, optionally Laplace-smoothed."""
@@ -202,7 +196,7 @@ class HashedHistogram:
             )
         self._counts = counts.copy()
         self._observed = np.asarray(observed, dtype=np.uint64).copy()
-        self._value_bins = None
+        self._value_bins = self._hash.hash_array(self._observed)
 
 
 class HistogramSnapshot:

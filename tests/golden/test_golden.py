@@ -31,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.anomalies import DDoSInjector, EventSchedule
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import AnomalyExtractor
 from repro.core.report import ExtractionReport
@@ -115,8 +116,6 @@ def _two_day() -> dict[str, str]:
 
 def _quickstart_ddos() -> dict[str, str]:
     """``examples/quickstart.py``: six hours, one DDoS at interval 20."""
-    from repro.anomalies import DDoSInjector, EventSchedule
-
     profile = switch_like(flows_per_interval=4_000)
     schedule = EventSchedule()
     schedule.add_at_interval(
