@@ -43,7 +43,7 @@ BINS = 256
 CLONES = 3
 MIN_SUPPORT = 500
 #: The record keeps the fastest of this many runs (noise robustness).
-REPEATS = 3
+REPEATS = 5
 
 
 def _run(flows) -> dict:
